@@ -1,0 +1,42 @@
+package main
+
+import (
+	"slices"
+	"time"
+)
+
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between closest ranks; xs is not modified. It returns 0
+// for an empty sample.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo >= len(s)-1 {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(lo)
+	return s[lo] + frac*(s[lo+1]-s[lo])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// timeMedian runs fn reps times and returns the median wall time of one
+// call.
+func timeMedian(reps int, fn func()) time.Duration {
+	ds := make([]float64, reps)
+	for i := range ds {
+		t0 := time.Now()
+		fn()
+		ds[i] = float64(time.Since(t0))
+	}
+	return time.Duration(median(ds))
+}
