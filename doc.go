@@ -66,11 +66,17 @@
 // KernelSHAP, LIME, PDP/ICE, permutation importance — assemble their
 // perturbation matrices in flat buffers and evaluate them with single
 // batched calls; KernelSHAP additionally collapses additive tree
-// ensembles into per-(tree, background) divergence trees so each
-// coalition is a handful of mask lookups. External models that implement
-// only Predict keep working through a worker-chunked fallback with
-// identical results. Benchmark pairs in perf_bench_test.go quantify the
-// win (see BENCH_PR2.json and the Performance section of API.md).
+// ensembles into per-(tree, background) divergence trees, turns each one
+// that tests at most 8 features into a 2^k table indexed by bit-packed
+// coalition columns (one gather-add pass per tree instead of a walk per
+// coalition), and evaluates each distinct sampled coalition once. The
+// MLP batch kernel keeps four outputs' accumulators in registers over
+// contiguous weight loads. All of it is bit-identical to the
+// straightforward evaluation: golden attributions in
+// internal/core/testdata pin that. External models that implement only
+// Predict keep working through a worker-chunked fallback with identical
+// results. Benchmark pairs in perf_bench_test.go quantify the win (see
+// BENCH_PR2.json and the Performance section of API.md).
 //
 // # The kernel plane
 //
@@ -96,7 +102,9 @@
 // and QuantActive() reports which path is serving. Fan-out across all of
 // it flows through one core-aware worker pool (internal/sched) with
 // per-worker float arenas, configured once (explaind -sched-workers,
-// -sched-pin) instead of per-call-site goroutine spawning.
+// -sched-pin) instead of per-call-site goroutine spawning. Its workers
+// start on demand and exit when idle, and Configure closes the pool it
+// replaces, so no pool goroutine outlives its use.
 //
 // # The durable artifact plane
 //

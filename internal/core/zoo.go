@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml"
@@ -105,7 +106,7 @@ func TrainModel(kind ModelKind, train *dataset.Dataset, seed int64) (ml.Predicto
 // into one flat buffer and handed to the inner model's batch path.
 type scaledModel struct {
 	inner  ml.Predictor
-	scaler dataset.Scaler
+	scaler *dataset.StandardScaler
 }
 
 // Predict implements ml.Predictor on raw (unscaled) inputs.
@@ -113,13 +114,39 @@ func (s *scaledModel) Predict(x []float64) float64 {
 	return s.inner.Predict(s.scaler.Transform(x))
 }
 
-// PredictBatch implements ml.BatchPredictor.
+// scaleBuf is PredictBatch's standardized-row scratch: one flat backing
+// buffer and the row headers carved from it.
+type scaleBuf struct {
+	flat []float64
+	rows [][]float64
+}
+
+var scalePool = sync.Pool{New: func() any { return new(scaleBuf) }}
+
+// PredictBatch implements ml.BatchPredictor. The standardized rows live
+// in pooled scratch, so a KernelSHAP block costs no allocation per row;
+// the arithmetic is Transform's, so results match Predict bit for bit.
 func (s *scaledModel) PredictBatch(X [][]float64, out []float64) {
-	scaled := make([][]float64, len(X))
-	for i, x := range X {
-		scaled[i] = s.scaler.Transform(x)
+	sb := scalePool.Get().(*scaleBuf)
+	defer scalePool.Put(sb)
+	n := 0
+	for _, x := range X {
+		n += len(x)
 	}
-	ml.PredictBatchInto(s.inner, scaled, out)
+	if cap(sb.flat) < n {
+		sb.flat = make([]float64, n)
+	}
+	if cap(sb.rows) < len(X) {
+		sb.rows = make([][]float64, len(X))
+	}
+	rows := sb.rows[:len(X)]
+	off := 0
+	for i, x := range X {
+		rows[i] = sb.flat[off : off+len(x) : off+len(x)]
+		s.scaler.TransformInto(rows[i], x)
+		off += len(x)
+	}
+	ml.PredictBatchInto(s.inner, rows, out)
 }
 
 // gradModel mirrors intgrad.GradModel so the wrapper can forward
@@ -135,13 +162,11 @@ type gradModel interface {
 // logistic). Inner models without an analytic gradient fall back to
 // central finite differences on the raw input.
 func (s *scaledModel) Gradient(x []float64) []float64 {
-	gm, okInner := s.inner.(gradModel)
-	std, okScaler := s.scaler.(*dataset.StandardScaler)
-	if okInner && okScaler {
+	if gm, ok := s.inner.(gradModel); ok {
 		g := gm.Gradient(s.scaler.Transform(x))
 		out := make([]float64, len(g))
 		for j := range g {
-			out[j] = g[j] / std.Std[j]
+			out[j] = g[j] / s.scaler.Std[j]
 		}
 		return out
 	}

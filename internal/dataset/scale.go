@@ -54,10 +54,15 @@ func FitStandard(d *Dataset) *StandardScaler {
 // Transform implements Scaler.
 func (s *StandardScaler) Transform(x []float64) []float64 {
 	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
-	}
+	s.TransformInto(out, x)
 	return out
+}
+
+// TransformInto is Transform writing into dst (len(dst) == len(x)).
+func (s *StandardScaler) TransformInto(dst, x []float64) {
+	for j, v := range x {
+		dst[j] = (v - s.Mean[j]) / s.Std[j]
+	}
 }
 
 // Inverse implements Scaler.

@@ -208,3 +208,55 @@ func TestInvalidateFlat(t *testing.T) {
 		t.Fatalf("after invalidate: batch %v != predict %v", out[0], want)
 	}
 }
+
+// TestPredictBatchBlockedParity pins the register-blocked batch kernel
+// to Predict bit for bit. The widths cover layers made only of 4-output
+// blocks (48, 24), blocks plus a scalar tail (7, 5), a lone tail output
+// (1) and the 1-wide output layer; 600 rows span a full and a partial
+// batch chunk.
+func TestMLPPredictBatchBlockedParity(t *testing.T) {
+	cases := []struct {
+		hidden []int
+		task   dataset.Task
+		act    nn.Activation
+	}{
+		{[]int{7, 5}, dataset.Regression, nn.ReLU},
+		{[]int{7, 5}, dataset.Classification, nn.Tanh},
+		{[]int{48, 24}, dataset.Regression, nn.ReLU},
+		{[]int{48, 24}, dataset.Classification, nn.ReLU},
+		{[]int{1}, dataset.Regression, nn.ReLU},
+	}
+	rng := rand.New(rand.NewSource(17))
+	reg := dataset.New(dataset.Regression, "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m")
+	cls := dataset.New(dataset.Classification, reg.Names...)
+	for i := 0; i < 600; i++ {
+		x := make([]float64, 13)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		y := math.Sin(x[0]) + x[1]*x[2] - x[3]
+		reg.Add(x, y)
+		cls.Add(x, math.Max(0, math.Copysign(1, y)))
+	}
+	for _, c := range cases {
+		d := reg
+		if c.task == dataset.Classification {
+			d = cls
+		}
+		m := &nn.MLP{Hidden: c.hidden, Act: c.act, Epochs: 3, Task: c.task, Seed: 5}
+		if err := m.Fit(d); err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]float64, len(d.X))
+		m.PredictBatch(d.X, batch)
+		par := make([]float64, len(d.X))
+		ml.PredictBatchParallel(m, d.X, par, 0)
+		for i, x := range d.X {
+			want := math.Float64bits(m.Predict(x))
+			if math.Float64bits(batch[i]) != want || math.Float64bits(par[i]) != want {
+				t.Fatalf("hidden %v task %v row %d: Predict %v, PredictBatch %v, PredictBatchParallel %v",
+					c.hidden, c.task, i, m.Predict(x), batch[i], par[i])
+			}
+		}
+	}
+}

@@ -313,17 +313,7 @@ func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 				for r := 0; r < rows; r++ {
 					src := cur[r*maxDim : r*maxDim+in]
 					dst := nxt[r*maxDim : r*maxDim+outW]
-					for j := 0; j < outW; j++ {
-						z := w[in*outW+j] // bias row
-						for i := 0; i < in; i++ {
-							z += src[i] * w[i*outW+j]
-						}
-						if last {
-							dst[j] = z
-						} else {
-							dst[j] = m.activate(z)
-						}
-					}
+					m.denseRow(w, src, dst, last)
 				}
 				cur, nxt = nxt, cur
 			}
@@ -336,6 +326,48 @@ func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 			}
 		}
 	})
+}
+
+// denseRow computes one row of a layer: dst[j] = act(bias_j + Σ_i
+// src[i]·w[i][j]) for the (len(src)+1)×len(dst) weight matrix w, with
+// no activation on the output layer. Outputs are taken four at a time so
+// their accumulators stay in registers and each input row of w is read
+// as one contiguous 4-wide load; every accumulator still starts at its
+// bias and adds src[0..in) in order, the same summation forward does,
+// so results are bit-identical to Predict.
+func (m *MLP) denseRow(w, src, dst []float64, last bool) {
+	in, outW := len(src), len(dst)
+	bias := w[in*outW : (in+1)*outW]
+	j := 0
+	for ; j+4 <= outW; j += 4 {
+		z0, z1, z2, z3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+		o := j
+		for _, s := range src {
+			wr := w[o : o+4 : o+4]
+			z0 += s * wr[0]
+			z1 += s * wr[1]
+			z2 += s * wr[2]
+			z3 += s * wr[3]
+			o += outW
+		}
+		d4 := (*[4]float64)(dst[j:])
+		if last {
+			d4[0], d4[1], d4[2], d4[3] = z0, z1, z2, z3
+		} else {
+			d4[0], d4[1], d4[2], d4[3] = m.activate(z0), m.activate(z1), m.activate(z2), m.activate(z3)
+		}
+	}
+	for ; j < outW; j++ {
+		z := bias[j]
+		for i, s := range src {
+			z += s * w[i*outW+j]
+		}
+		if last {
+			dst[j] = z
+		} else {
+			dst[j] = m.activate(z)
+		}
+	}
 }
 
 // Gradient returns ∂Predict/∂x at x — for classification the gradient of

@@ -18,13 +18,26 @@
 // Determinism: chunks are contiguous index ranges and each chunk writes
 // only its own range, so execution order never affects results — the
 // bit-identical PredictBatch↔Predict contract survives the pool.
+//
+// Lifetime: workers start on demand when chunks are queued and exit
+// after idleTimeout without work, so an idle process — the default pool
+// included — holds no pool goroutines and the pool needs no owner to
+// stop it. Close retires a pool at once (Configure closes the pool it
+// replaces); calls still in flight on it finish on their callers, who
+// drain the queue themselves.
 package sched
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// idleTimeout is how long a worker waits for a chunk before exiting.
+// Under load workers never see it; between bursts it bounds how long
+// idle goroutines linger.
+const idleTimeout = 250 * time.Millisecond
 
 // Worker is the per-goroutine execution context handed to every chunk:
 // a stable ID and a small arena of reusable scratch slices keyed by
@@ -88,14 +101,19 @@ func (c *call) finish(n int64) {
 	}
 }
 
-// Pool is a fixed set of persistent workers draining one chunk queue.
+// Pool is a bounded set of on-demand workers draining one chunk queue.
 type Pool struct {
 	workers int
 	pin     bool
 	queue   chan chunk
-	start   sync.Once
-	helper  sync.Pool // *Worker contexts for participating callers
-	nextID  atomic.Int64
+	// idle holds the worker contexts (IDs 0..workers-1, arenas intact)
+	// of the worker slots not running a goroutine; starting a worker
+	// takes one, an exiting worker puts its own back.
+	idle   chan *Worker
+	stop   chan struct{} // closed by Close
+	closed sync.Once
+	helper sync.Pool // *Worker contexts for participating callers
+	nextID atomic.Int64
 }
 
 // New builds a pool of n workers (n <= 0 selects GOMAXPROCS). pin locks
@@ -114,6 +132,11 @@ func New(n int, pin bool) *Pool {
 		// fed, shallow enough that nested calls overflow to inline
 		// execution instead of queuing behind their parents.
 		queue: make(chan chunk, 4*n),
+		idle:  make(chan *Worker, n),
+		stop:  make(chan struct{}),
+	}
+	for i := 0; i < n; i++ {
+		p.idle <- &Worker{ID: i}
 	}
 	p.helper.New = func() any {
 		return &Worker{ID: int(p.nextID.Add(1)) + p.workers - 1}
@@ -143,33 +166,78 @@ func Default() *Pool {
 }
 
 // Configure replaces the default pool (size and pinning) before or
-// after first use; in-flight calls on the old pool complete normally.
-// explaind calls this at startup when -sched-pin is set.
+// after first use and closes the pool it replaces; in-flight calls on
+// the old pool complete normally. explaind calls this at startup when
+// -sched-pin is set.
 func Configure(workers int, pin bool) {
 	configureMu.Lock()
 	defer configureMu.Unlock()
-	defaultPool.Store(New(workers, pin))
+	if old := defaultPool.Swap(New(workers, pin)); old != nil {
+		old.Close()
+	}
 }
 
-func (p *Pool) startWorkers() {
-	p.start.Do(func() {
-		for i := 0; i < p.workers; i++ {
-			go p.worker(i)
+// Close stops the pool's workers and returns once each has finished its
+// current chunk and handed back its slot. Later and in-flight
+// ParallelFor calls still complete, executed by their callers. Close is
+// idempotent; it must not be called from inside one of p's chunks.
+func (p *Pool) Close() {
+	p.closed.Do(func() {
+		close(p.stop)
+		// Every slot back in idle means every worker has exited its loop.
+		slots := make([]*Worker, 0, p.workers)
+		for len(slots) < p.workers {
+			slots = append(slots, <-p.idle)
+		}
+		for _, w := range slots {
+			p.idle <- w
 		}
 	})
 }
 
-func (p *Pool) worker(id int) {
+// wake starts a worker in an idle slot, if there is one and the pool is
+// open.
+func (p *Pool) wake() {
+	select {
+	case <-p.stop:
+		return
+	default:
+	}
+	select {
+	case w := <-p.idle:
+		go p.worker(w)
+	default:
+	}
+}
+
+// worker drains the queue until it has waited idleTimeout for a chunk or
+// the pool closes, then hands its slot back. A chunk queued while it
+// exits is not stranded: its caller drains the queue until its call
+// completes.
+func (p *Pool) worker(w *Worker) {
 	if p.pin {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	w := &Worker{ID: id}
-	for ch := range p.queue {
-		ch.fn(w, ch.lo, ch.hi)
-		ch.c.finish(1)
+	defer func() { p.idle <- w }()
+	timer := time.NewTimer(idleTimeout)
+	defer timer.Stop()
+	for {
+		select {
+		case ch := <-p.queue:
+			ch.fn(w, ch.lo, ch.hi)
+			ch.c.finish(1)
+			timer.Reset(idleTimeout)
+		case <-timer.C:
+			return
+		case <-p.stop:
+			return
+		}
 	}
 }
+
+// running reports how many worker goroutines hold a slot.
+func (p *Pool) running() int { return p.workers - len(p.idle) }
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
@@ -197,7 +265,6 @@ func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 		p.helper.Put(w)
 		return
 	}
-	p.startWorkers()
 	// Chunk size: enough chunks for the pool plus the caller, floored at
 	// minChunk so tiny tails don't become dispatch overhead.
 	size := (n + p.workers) / (p.workers + 1)
@@ -222,6 +289,7 @@ func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 		}
 		select {
 		case p.queue <- chunk{fn: fn, lo: lo, hi: hi, c: c}:
+			p.wake()
 		default:
 			fn(w, lo, hi)
 			executed++

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelForCoversRange checks every index is visited exactly once
@@ -107,9 +111,17 @@ func TestWorkerArenaNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// restoreDefault puts old back as the default pool and closes the pool a
+// test configured in its place.
+func restoreDefault(old *Pool) {
+	if p := defaultPool.Swap(old); p != old {
+		p.Close()
+	}
+}
+
 func TestConfigure(t *testing.T) {
 	old := Default()
-	defer defaultPool.Store(old)
+	defer restoreDefault(old)
 	Configure(3, true)
 	p := Default()
 	if p.Workers() != 3 || !p.Pinned() {
@@ -120,4 +132,74 @@ func TestConfigure(t *testing.T) {
 	if count.Load() != 100 {
 		t.Fatalf("pinned pool covered %d of 100", count.Load())
 	}
+}
+
+// workerGoroutines counts live goroutines running p's worker loop, found
+// by the pool pointer the runtime prints as the method receiver.
+func workerGoroutines(p *Pool) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), fmt.Sprintf("sched.(*Pool).worker(%p", p))
+}
+
+// waitNoWorkers polls until p has no worker goroutines left.
+func waitNoWorkers(t *testing.T, p *Pool, within time.Duration) {
+	t.Helper()
+	for end := time.Now().Add(within); ; time.Sleep(5 * time.Millisecond) {
+		if p.running() == 0 && workerGoroutines(p) == 0 {
+			return
+		}
+		if time.Now().After(end) {
+			t.Fatalf("after %v: %d worker slots busy, %d worker goroutines alive",
+				within, p.running(), workerGoroutines(p))
+		}
+	}
+}
+
+// busyFor runs chunks that each hold a worker for a moment, so the pool
+// has to start workers, and returns the most worker goroutines seen.
+func busyFor(p *Pool) int {
+	var peak atomic.Int64
+	p.ParallelFor(64, 1, func(w *Worker, lo, hi int) {
+		if n := int64(workerGoroutines(p)); n > peak.Load() {
+			peak.Store(n)
+		}
+		time.Sleep(time.Millisecond)
+	})
+	return int(peak.Load())
+}
+
+// TestConfiguredPoolWorkersExit: Configure retires the pool it replaces,
+// and every worker of the retired pool exits promptly.
+func TestConfiguredPoolWorkersExit(t *testing.T) {
+	old := Default()
+	defer restoreDefault(old)
+	Configure(3, false)
+	p := Default()
+	if peak := busyFor(p); peak == 0 {
+		t.Fatal("configured pool never started a worker")
+	}
+	Configure(2, false)
+	waitNoWorkers(t, p, idleTimeout/2)
+	// A retired pool still completes calls, on the caller.
+	var count atomic.Int64
+	p.ParallelFor(100, 1, func(w *Worker, lo, hi int) { count.Add(int64(hi - lo)) })
+	if count.Load() != 100 || p.running() != 0 {
+		t.Fatalf("closed pool covered %d of 100 with %d workers", count.Load(), p.running())
+	}
+}
+
+// TestIdleWorkersExit: an unclosed pool's workers exit on their own once
+// idle, and a later call starts them again with their arenas intact.
+func TestIdleWorkersExit(t *testing.T) {
+	p := New(2, false)
+	if busyFor(p) == 0 {
+		t.Fatal("pool never started a worker")
+	}
+	waitNoWorkers(t, p, 10*idleTimeout)
+	if busyFor(p) == 0 {
+		t.Fatal("pool did not restart workers after idling")
+	}
+	p.Close()
+	waitNoWorkers(t, p, idleTimeout/2)
 }

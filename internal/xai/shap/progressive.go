@@ -106,7 +106,7 @@ func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx f
 		start := time.Now()
 		masks, weights := sampleCoalitionsBuf(rng, d, n, buf)
 		vals := buf.valsFor(len(masks))
-		if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+		if err := k.evalDistinct(ctx, x, masks, vals, buf); err != nil {
 			if blocks > 0 && errors.Is(err, context.DeadlineExceeded) {
 				break
 			}

@@ -157,7 +157,7 @@ func (k *Kernel) Explain(ctx context.Context, x []float64) (xai.Attribution, err
 			}
 			vals[i] = k.coalitionValue(x, m)
 		}
-	} else if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+	} else if err := k.evalDistinct(ctx, x, masks, vals, buf); err != nil {
 		return xai.Attribution{}, err
 	}
 
@@ -351,6 +351,30 @@ func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool
 			}
 			vals[ci] = s / float64(nb)
 		}
+	}
+	return nil
+}
+
+// evalDistinct is evalCoalitions evaluating each distinct mask once. A
+// sampled draw repeats coalitions: the size distribution favors the few
+// smallest and largest sizes, so only about 720–820 of 1024 draws are
+// distinct at d = 22–26 (an enumeration has no repeats and passes
+// straight through).
+// A coalition's value does not depend on which other coalitions share
+// the call, so each distinct mask is evaluated once and its value copied
+// to its repeats; vals comes out exactly as evalCoalitions over masks
+// would fill it, and the WLS solve still sees every drawn row.
+func (k *Kernel) evalDistinct(ctx context.Context, x []float64, masks [][]bool, vals []float64, buf *coalitionBuf) error {
+	uniq, rep := buf.distinct(masks)
+	if len(uniq) == len(masks) {
+		return k.evalCoalitions(ctx, x, masks, vals)
+	}
+	uvals := buf.uvalsFor(len(uniq))
+	if err := k.evalCoalitions(ctx, x, uniq, uvals); err != nil {
+		return err
+	}
+	for i, r := range rep {
+		vals[i] = uvals[r]
 	}
 	return nil
 }

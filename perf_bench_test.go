@@ -121,6 +121,73 @@ func BenchmarkKernelShapBatchedServing(b *testing.B) {
 	}
 }
 
+// ─── KernelSHAP at the kernel-miss serving shapes ───────────────────────
+//
+// perfbench's kernel-miss workload explains fresh instances with
+// KernelSHAP on two pipelines: nat/gbt/violation (22 features, additive
+// trees under a sigmoid link, so the masked tree evaluator) and
+// web/mlp/util (26 features, a standardized MLP, so the generic batched
+// evaluator). Both use the pipeline defaults: 60 background rows, 1024
+// sampled coalitions and one Kernel reused across requests. These two
+// benchmarks reproduce that layer in process:
+//
+//	go test -run '^$' -bench 'KernelShap(GBT|MLP)Serving' -benchmem .
+
+var (
+	servingOnce sync.Once
+	servingGBT  *core.Pipeline
+	servingMLP  *core.Pipeline
+	servingErr  error
+)
+
+func servingPipelines(b *testing.B) (gbt, mlp *core.Pipeline) {
+	b.Helper()
+	servingOnce.Do(func() {
+		nat, err := core.NATScenario().GenerateDataset(1, 1, telemetry.TargetViolation)
+		if err != nil {
+			servingErr = err
+			return
+		}
+		if servingGBT, servingErr = core.NewPipeline(core.ModelGBT, nat, 1); servingErr != nil {
+			return
+		}
+		web, err := core.WebScenario().GenerateDataset(1, 1, telemetry.TargetBottleneckUtil)
+		if err != nil {
+			servingErr = err
+			return
+		}
+		servingMLP, servingErr = core.NewPipeline(core.ModelMLP, web, 1)
+	})
+	if servingErr != nil {
+		b.Fatal(servingErr)
+	}
+	return servingGBT, servingMLP
+}
+
+// benchKernelShapServing explains a rotating test instance per
+// iteration with one shared Kernel, as the registry serves a miss.
+func benchKernelShapServing(b *testing.B, p *core.Pipeline) {
+	k := &shap.Kernel{Model: p.Model, Background: p.Background, NumSamples: p.ShapSampleBudget(), Seed: p.Seed}
+	xs := p.Test.X[:40]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Explain(context.Background(), xs[i%len(xs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKernelShapGBTServing(b *testing.B) {
+	gbt, _ := servingPipelines(b)
+	benchKernelShapServing(b, gbt)
+}
+
+func BenchmarkKernelShapMLPServing(b *testing.B) {
+	_, mlp := servingPipelines(b)
+	benchKernelShapServing(b, mlp)
+}
+
 // ─── method-registry dispatch overhead ──────────────────────────────────
 //
 // The explanation plane (PR 3) routes every explain through the xai
